@@ -143,10 +143,9 @@ def kuhn_wattenhofer_reduction(
         raise InvalidParameterError("kuhn_wattenhofer: degree_bound must be >= 0")
     target = degree_bound + 1
     block_size = 2 * target
+    members = None if participants is None else set(participants)
     current: Dict[Vertex, int] = {
-        v: int(c)
-        for v, c in colors.items()
-        if participants is None or v in set(participants)
+        v: int(c) for v, c in colors.items() if members is None or v in members
     }
     m = num_colors
     total_rounds = 0
@@ -206,6 +205,9 @@ def delta_plus_one_coloring(
     """
     if reduction not in ("kw", "greedy"):
         raise InvalidParameterError(f"unknown reduction {reduction!r}")
+    if participants is not None:
+        # Materialised once: Linial and the reduction both consume it.
+        participants = tuple(participants)
     linial = run_recoloring(
         network,
         conflict_degree=degree_bound,

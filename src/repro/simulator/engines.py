@@ -46,6 +46,8 @@ import os
 import warnings
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from ..errors import RoundLimitExceeded, SimulationError
 from ..types import Vertex
 from .context import NodeContext
@@ -143,7 +145,6 @@ class EngineRun:
         "graph",
         "program_factory",
         "order",
-        "active_set",
         "part_of",
         "S",
         "full",
@@ -177,7 +178,6 @@ class EngineRun:
         self.graph = graph
         self.program_factory = program_factory
         self.order = order
-        self.active_set = active_set
         self.part_of = part_of
         self.gp = gp
         self.round_limit = round_limit
@@ -203,40 +203,77 @@ class EngineRun:
         self.message_bytes = 0
         self.max_message_bytes = 0
 
+    def _csr(self) -> Tuple["np.ndarray", "np.ndarray", "np.ndarray"]:
+        """The graph's CSR ``(offsets, neighbors)`` as int64 arrays, plus
+        the CSR index of each participant in :attr:`order`."""
+        graph = self.graph
+        off_mv, nbr_mv = graph.csr()
+        if graph.ids_contiguous:
+            slots = np.array(self.order, dtype=np.int64)
+        else:
+            slots = np.searchsorted(np.asarray(graph.vertices), self.order)
+        return (
+            np.frombuffer(off_mv, dtype=np.int64),
+            np.frombuffer(nbr_mv, dtype=np.int64),
+            slots,
+        )
+
+    def edge_mask(self) -> "np.ndarray":
+        """Boolean mask over the CSR neighbour array: the edges this run sees.
+
+        Each participant's slot gets an integer code — its ``part_of``
+        label factorized over :attr:`order` (0 for every participant when
+        there is no labeling) — and non-participants get −1.  Edge
+        ``(i, j)`` is visible when ``code[i] == code[j] >= 0``: both ends
+        participate and carry equal labels.  One O(n + m) numpy pass,
+        shared by every engine that needs filtered visibility.
+        """
+        offsets, nbr, slots = self._csr()
+        part_of = self.part_of
+        code = np.full(self.graph.n, -1, dtype=np.int64)
+        if part_of is None:
+            code[slots] = 0
+        else:
+            labels: Dict[Any, int] = {}
+            code[slots] = [
+                labels.setdefault(part_of.get(v), len(labels)) for v in self.order
+            ]
+        src = np.repeat(code, np.diff(offsets))
+        return (src == code[nbr]) & (src >= 0)
+
     def build_contexts(self) -> Tuple[List[NodeContext], List[NodeProgram]]:
         """Materialise one context + program instance per participant.
 
         Visibility is filtered to participants (and to the same part when a
-        labeling is given).  Unrestricted runs reuse the graph's cached
+        labeling is given) through one :meth:`edge_mask` over the CSR: the
+        mask's running count read at the CSR offsets gives each vertex's
+        range in the kept neighbour array, and each participant's tuple is
+        a slice of it.  Unrestricted runs reuse the graph's cached
         neighbour tuples — no per-run filtering pass.
         """
         graph = self.graph
-        active_set = self.active_set
-        part_of = self.part_of
         gp = self.gp
-        full = self.full
         program_factory = self.program_factory
-        contexts: List[NodeContext] = []
-        programs: List[NodeProgram] = []
-        for v in self.order:
-            if part_of is not None:
-                label = part_of.get(v)
-                visible = tuple(
-                    u
-                    for u in graph.neighbors(v)
-                    if (active_set is None or u in active_set)
-                    and part_of.get(u) == label
-                )
-                ctx = NodeContext(v, visible, gp)
-            elif not full:
-                visible = tuple(
-                    u for u in graph.neighbors(v) if u in active_set
-                )
-                ctx = NodeContext(v, visible, gp)
-            else:
-                ctx = NodeContext(v, graph.neighbors(v), gp)
-            contexts.append(ctx)
-            programs.append(program_factory())
+        order = self.order
+        programs = [program_factory() for _ in order]
+        if self.full and self.part_of is None:
+            neighbors = graph.neighbors
+            return [NodeContext(v, neighbors(v), gp) for v in order], programs
+        offsets, nbr, slots = self._csr()
+        # positions of the visible edges; a participant's visible range is
+        # where its CSR offsets fall among them (the mask's running count
+        # read at the offsets, without a full-length cumsum)
+        kept_at = np.flatnonzero(self.edge_mask())
+        kept = nbr[kept_at]
+        if not graph.ids_contiguous:
+            kept = np.asarray(graph.vertices)[kept]
+        kept = kept.tolist()
+        lo = np.searchsorted(kept_at, offsets[slots]).tolist()
+        hi = np.searchsorted(kept_at, offsets[slots + 1]).tolist()
+        contexts = [
+            NodeContext(v, tuple(kept[i:j]), gp)
+            for v, i, j in zip(order, lo, hi, strict=True)
+        ]
         return contexts, programs
 
 

@@ -126,3 +126,44 @@ class TestDeltaPlusOne:
         assert result.rounds == (
             result.params["linial_rounds"] + result.params["reduction_rounds"]
         )
+
+
+class TestOneShotParticipants:
+    """``participants`` may be any iterable, consumed exactly once: a list,
+    a ``dict.keys()`` view and a bare iterator give identical results."""
+
+    @staticmethod
+    def _shapes(vertices):
+        chosen = {v: None for v in vertices[::2][:150]}
+        return [list(chosen), chosen.keys(), iter(list(chosen))]
+
+    def test_kuhn_wattenhofer(self):
+        g = random_regular(300, 4, seed=10)
+        colors, m = legal_base_coloring(g.graph)
+        results = [
+            kuhn_wattenhofer_reduction(
+                SynchronousNetwork(g.graph),
+                colors,
+                m,
+                g.graph.max_degree,
+                participants=shape,
+            )
+            for shape in self._shapes(g.graph.vertices)
+        ]
+        assert len(results[0].colors) == 150
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    def test_delta_plus_one(self):
+        g = random_regular(300, 4, seed=11)
+        results = [
+            delta_plus_one_coloring(
+                SynchronousNetwork(g.graph),
+                g.graph.max_degree,
+                participants=shape,
+            )
+            for shape in self._shapes(g.graph.vertices)
+        ]
+        assert len(results[0].colors) == 150
+        assert results[1] == results[0]
+        assert results[2] == results[0]
