@@ -38,7 +38,6 @@ from __future__ import annotations
 import time
 
 import perf_record
-import pytest
 from conftest import cached_forest_union
 from legacy_network import LegacySynchronousNetwork
 from repro import SynchronousNetwork
@@ -163,7 +162,6 @@ def test_column_engine_scale(benchmark):
     produce byte-identical RunResults; the speedup is recorded as
     ``column_vs_event_speedup`` and gated against the committed baseline.
     """
-    pytest.importorskip("numpy")
     from repro.core.hpartition import HPartitionProgram, degree_threshold
     from repro.graphs import forest_union_bulk
 

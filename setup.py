@@ -1,6 +1,6 @@
-"""Setup shim: enables legacy editable installs (`pip install -e . --no-use-pep517`)
+"""Setup shim: enables legacy editable installs (`python setup.py develop`)
 in offline environments that lack the `wheel` package.  All real metadata
-lives in pyproject.toml."""
+lives in pyproject.toml's ``[project]`` table."""
 
 from setuptools import setup
 

@@ -63,6 +63,7 @@ def arb_kuhn_decomposition(
         raise InvalidParameterError(f"arb_kuhn: a must be >= 1, got {a}")
     if defect < 0:
         raise InvalidParameterError(f"arb_kuhn: defect must be >= 0, got {defect}")
+    participants = None if participants is None else tuple(participants)
     graph = network.graph
     hp = compute_hpartition(
         network, a, epsilon, participants=participants, part_of=part_of

@@ -79,6 +79,7 @@ def simple_arbdefective(
     """
     if k < 1:
         raise InvalidParameterError(f"simple_arbdefective: k must be >= 1, got {k}")
+    participants = None if participants is None else tuple(participants)
     graph = network.graph
     active = set(participants) if participants is not None else None
 
@@ -140,6 +141,7 @@ def arbdefective_coloring(
     """
     if a < 1:
         raise InvalidParameterError(f"arbdefective_coloring: a must be >= 1, got {a}")
+    participants = None if participants is None else tuple(participants)
     orientation = partial_orientation(
         network, a, t, epsilon, participants=participants, part_of=part_of
     )

@@ -110,6 +110,7 @@ def estimate_arboricity_bound(
     candidates ≥ a always succeed because the average degree argument of
     Lemma 2.3 applies).
     """
+    participants = None if participants is None else tuple(participants)
     total_rounds = 0
     candidate = 1
     while candidate <= max(1, network.graph.n):
@@ -139,6 +140,7 @@ def legal_coloring_auto(
     Total cost O(log a · log n) rounds — the estimation phase is the same
     order as the coloring itself, so not knowing a is asymptotically free.
     """
+    participants = None if participants is None else tuple(participants)
     bound, _hp, est_rounds = estimate_arboricity_bound(
         network, epsilon, participants=participants, part_of=part_of
     )

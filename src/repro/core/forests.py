@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..simulator.context import NodeContext
 from ..simulator.ledger import RoundLedger
 from ..simulator.message import payload_size
@@ -79,7 +81,6 @@ class _ForestLabelProgram(NodeProgram):
         within its row (rows are sorted ascending, matching the scalar
         program's ``sorted`` + ``enumerate``).
         """
-        np = col.np
         level_of = self._level_of
 
         def run() -> None:
@@ -175,6 +176,7 @@ def forests_decomposition(
     Lemma 2.2(2): O(a) forests in O(log n) rounds.  An existing H-partition
     may be supplied to avoid recomputing it.
     """
+    participants = None if participants is None else tuple(participants)
     if hpartition is None:
         hpartition = compute_hpartition(
             network, a, epsilon, participants=participants, part_of=part_of

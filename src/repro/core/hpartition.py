@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 from typing import Dict
 
+import numpy as np
+
 from ..errors import InvalidParameterError, RoundLimitExceeded, SimulationError
 from ..simulator.context import NodeContext
 from ..simulator.message import payload_size
@@ -72,7 +74,6 @@ class HPartitionProgram(NodeProgram):
         scalar engines count it); survivors' active degrees drop by the
         number of leaving neighbours.
         """
-        np = col.np
         threshold = self._threshold
 
         def run() -> None:

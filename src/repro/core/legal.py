@@ -149,8 +149,7 @@ def legal_coloring(
     if p < 2:
         raise InvalidParameterError(f"legal_coloring: p must be >= 2, got {p}")
     graph = network.graph
-    if participants is None:
-        participants = list(graph.vertices)
+    participants = tuple(graph.vertices if participants is None else participants)
     labels: Dict[Vertex, int] = {v: 0 for v in participants}
     alpha = a
     total_rounds = 0
@@ -322,6 +321,7 @@ def delta_plus_one_via_arboricity(
     """
     if max_degree is None:
         max_degree = network.graph.max_degree
+    participants = None if participants is None else tuple(participants)
     base = legal_coloring_corollary46(
         network, a, eta=nu, epsilon=epsilon,
         participants=participants, part_of=part_of,

@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional, Set
 
+import numpy as np
+
 from ..errors import RoundLimitExceeded
 from ..simulator.context import NodeContext
 from ..simulator.ledger import RoundLedger
@@ -75,7 +77,6 @@ class _ColorClassMISProgram(NodeProgram):
         neighbourhood.  Quiet stretches between color classes are skipped,
         mirroring the event engine's fast-forward.
         """
-        np = col.np
         color_of = self._color_of
 
         def run() -> None:
@@ -170,6 +171,7 @@ def mis_arboricity(
     O(a)-coloring via Theorem 4.3, then the color-class sweep (O(a) more
     rounds since the coloring uses O(a) colors).
     """
+    participants = None if participants is None else tuple(participants)
     coloring = legal_coloring_theorem43(
         network, a, mu, epsilon, participants=participants, part_of=part_of
     )

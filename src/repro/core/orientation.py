@@ -311,6 +311,7 @@ def orientation_greedy_coloring(
     out-degree ≤ k, in ≤ length+1 rounds (Appendix A / Lemma 2.2(1))."""
     if out_degree_bound < 0:
         raise InvalidParameterError("out_degree_bound must be >= 0")
+    participants = None if participants is None else tuple(participants)
     graph = network.graph
     active = set(participants) if participants is not None else None
 

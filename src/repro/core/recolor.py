@@ -37,6 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import InvalidParameterError, SimulationError
 from ..families.polynomial import PolynomialFamily, select_family
 from ..simulator.context import NodeContext
@@ -216,7 +218,6 @@ class RecolorProgram(NodeProgram):
         """
         if self._conflict_set_of is not None:
             return None
-        np = col.np
         schedule = self._schedule
         initial_color_of = self._initial_color_of
 

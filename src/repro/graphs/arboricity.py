@@ -28,15 +28,10 @@ import math
 from collections import deque
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from ..types import Orientation, Vertex, canonical_edge
 from .graph import Graph
-
-
-def _numpy():
-    """The numpy module used by the graph core, or None (same gate)."""
-    from . import graph as _graph_mod
-
-    return _graph_mod._np
 
 
 def degeneracy(graph: Graph) -> Tuple[int, List[Vertex]]:
@@ -123,38 +118,20 @@ def nash_williams_lower_bound(graph: Graph) -> int:
         return 0
     best = math.ceil(graph.m / (n - 1))
     _k, order = degeneracy(graph)
-    np = _numpy()
-    if np is not None and graph.ids_contiguous:
-        # Vectorized over the CSR arrays: one C pass over the batched
-        # neighbour array instead of a Python loop per edge.
-        off_mv, nbr_mv = graph.csr()
-        off = np.frombuffer(off_mv, dtype=np.int64)
-        nbr = np.frombuffer(nbr_mv, dtype=np.int64)
-        pos = np.empty(n, dtype=np.int64)
-        pos[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
-        ps, pn = pos[src], pos[nbr]
-        mins = ps[ps < pn]  # each undirected edge counted exactly once
-        suffix_m = np.bincount(mins, minlength=n)
-        totals = suffix_m[::-1].cumsum()[::-1]  # edges inside order[i:]
-        n_h = n - np.arange(n, dtype=np.int64)
-        valid = n_h >= 2
-        if bool(valid.any()):
-            vals = -(-totals[valid] // (n_h[valid] - 1))  # ceil division
-            best = max(best, int(vals.max()))
-        return best
-    pos_d = {v: i for i, v in enumerate(order)}
-    # m_i = number of edges fully inside the suffix order[i:]
-    suffix_m_l = [0] * (n + 1)
-    for (u, v) in graph.edges:
-        suffix_m_l[min(pos_d[u], pos_d[v])] += 1
-    total = 0
-    for i in range(n - 1, -1, -1):
-        total += suffix_m_l[i]
-        n_h = n - i
-        if n_h >= 2:
-            best = max(best, math.ceil(total / (n_h - 1)))
-    return best
+    # Vectorized over the CSR arrays: one C pass over the batched neighbour
+    # array instead of a Python loop per edge.
+    off_mv, nbr_mv = graph.csr()
+    off = np.frombuffer(off_mv, dtype=np.int64)
+    nbr = np.frombuffer(nbr_mv, dtype=np.int64)
+    pos = np.empty(n, dtype=np.int64)
+    pos[np.fromiter(map(graph.index_of, order), np.int64, count=n)] = np.arange(n)
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+    ps, pn = pos[src], pos[nbr]
+    mins = ps[ps < pn]  # each undirected edge counted exactly once
+    suffix_m = np.bincount(mins, minlength=n)
+    totals = suffix_m[::-1].cumsum()[::-1]  # edges inside order[i:]
+    n_h = n - np.arange(n - 1)  # suffixes with at least 2 vertices
+    return max(best, int((-(-totals[: n - 1] // (n_h - 1))).max()))
 
 
 # ----------------------------------------------------------------------

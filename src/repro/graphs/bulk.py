@@ -6,8 +6,8 @@ clock long before the column engine does any work at 10^6–10^7.  This module
 provides the vectorised counterpart for the canonical arboricity-``a``
 workload: :func:`forest_union_bulk` draws each forest as a random recursive
 tree over a random permutation entirely inside numpy and hands the endpoint
-arrays straight to :meth:`Graph.from_arrays` — no Python edge list ever
-exists.
+arrays straight to :meth:`Graph.from_arrays` — the CSR build every
+constructor shares — so no Python edge list ever exists.
 
 The construction certifies arboricity ≤ ``a`` exactly like
 :func:`~repro.graphs.generators.forest_union` (a union of ``a`` forests);
@@ -22,14 +22,11 @@ graph once and memory-map it into later runs.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..errors import InvalidParameterError
 from .generators import GeneratedGraph
 from .graph import Graph
-
-try:
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
 
 
 def forest_union_bulk(
@@ -46,12 +43,7 @@ def forest_union_bulk(
     duplicate handling, which the bulk path has no need to re-test at scale.
 
     Deterministic given ``seed`` (via ``numpy.random.default_rng``).
-    Requires numpy; pure-Python installs should use ``forest_union``.
     """
-    if _np is None:
-        raise InvalidParameterError(
-            "forest_union_bulk requires numpy; use forest_union instead"
-        )
     if n < 2:
         raise InvalidParameterError("forest_union_bulk: n must be >= 2")
     if a < 1:
@@ -60,14 +52,14 @@ def forest_union_bulk(
         raise InvalidParameterError(
             "forest_union_bulk: density must be in (0, 1]"
         )
-    rng = _np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     keep = max(1, min(n - 1, int(density * (n - 1))))
-    us = _np.empty(a * keep, dtype=_np.int64)
-    vs = _np.empty(a * keep, dtype=_np.int64)
+    us = np.empty(a * keep, dtype=np.int64)
+    vs = np.empty(a * keep, dtype=np.int64)
     for f in range(a):
-        perm = rng.permutation(n).astype(_np.int64, copy=False)
+        perm = rng.permutation(n).astype(np.int64, copy=False)
         # vertex i (in permuted order) attaches to a uniform j < i
-        parents = rng.integers(0, _np.arange(1, n, dtype=_np.int64))
+        parents = rng.integers(0, np.arange(1, n, dtype=np.int64))
         u = perm[1:]
         v = perm[parents]
         if keep < n - 1:

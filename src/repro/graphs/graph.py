@@ -20,13 +20,13 @@ of unique identities.  Ids need not be contiguous (induced subgraphs keep the
 original ids), but :func:`repro.graphs.generators` always produce ``0..n-1``
 — in that common case index == id and the id→index map is never built.
 
-Two build paths produce bit-identical CSR arrays: a vectorised one (numpy,
-used when available) and a pure-Python fallback (stdlib only, used on
-installs without numpy or when ``REPRO_PURE_CSR`` is set).  Both encode each
-undirected edge as the two directed codes ``u*n + v`` and ``v*n + u``, sort,
-and drop adjacent duplicates — so duplicate input edges (in either
+Every build path (``Graph(...)``, :meth:`Graph.from_edge_count`,
+:meth:`Graph.from_arrays`) ends in one vectorised numpy pass: each undirected
+edge becomes the two directed codes ``u*n + v`` and ``v*n + u``, which are
+sorted with adjacent duplicates dropped — so duplicate input edges (in either
 orientation) collapse, and the count of dropped duplicates is exposed as
-:attr:`Graph.duplicate_edges_dropped`.
+:attr:`Graph.duplicate_edges_dropped`.  Python edge lists are checked row by
+row first: every row must be a pair of ints.
 
 The id-based accessors (``vertices`` / ``edges`` / ``neighbors`` /
 ``degree``) are unchanged from the legacy dict-of-tuples implementation; the
@@ -36,169 +36,110 @@ allocation-free fast path for the simulator and the centralized helpers.
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from ..errors import InvalidParameterError
 from ..types import Edge, Vertex
-
-try:  # vectorised CSR build; the pure-Python path below is the fallback
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
-
-if os.environ.get("REPRO_PURE_CSR"):
-    _np = None
-
-_EMPTY_Q = array("q")
 
 
 # ----------------------------------------------------------------------
 # CSR construction from directed edge codes (u*n + v, both directions)
 # ----------------------------------------------------------------------
-def _csr_from_codes_pure(codes: List[int], n: int) -> Tuple[array, array, int]:
-    """Sort + dedup directed codes into (offsets, neighbors, dups) — stdlib."""
+def _q(a: "np.ndarray") -> array:
+    """An int64 ndarray copied into an ``array('q')``."""
+    out = array("q")
+    out.frombytes(a.tobytes())
+    return out
+
+
+def _csr_from_endpoints(n: int, u, v, rows=None) -> Tuple[array, array, int]:
+    """CSR ``(offsets, neighbors, duplicates dropped)`` from endpoint arrays.
+
+    ``u[k]–v[k]`` is the k-th undirected edge over indices ``0..n-1``.
+    Out-of-range endpoints and self-loops raise
+    :class:`~repro.errors.InvalidParameterError` naming the first offending
+    edge — ``rows[k]`` when the caller passes its input rows (so the message
+    speaks in the caller's vertex ids), else ``(u[k], v[k])``.
+    """
+    u = np.ascontiguousarray(u, dtype=np.int64).ravel()
+    v = np.ascontiguousarray(v, dtype=np.int64).ravel()
+    if u.shape != v.shape:
+        raise InvalidParameterError(
+            f"endpoint arrays disagree ({len(u)} vs {len(v)})"
+        )
+    if not len(u):
+        return array("q", bytes(8 * (n + 1))), array("q"), 0
+    if (
+        min(int(u.min()), int(v.min())) < 0
+        or max(int(u.max()), int(v.max())) >= n
+        or bool((u == v).any())
+    ):
+        out = (u < 0) | (u >= n) | (v < 0) | (v >= n)
+        k = int(np.flatnonzero(out | (u == v))[0])
+        edge = tuple(rows[k]) if rows is not None else (int(u[k]), int(v[k]))
+        if out[k]:
+            raise InvalidParameterError(
+                f"edge {edge} references a vertex not in the vertex set"
+            )
+        raise InvalidParameterError(f"self-loop at vertex {edge[0]} not allowed")
+    codes = np.concatenate((u * n + v, v * n + u))
+    # sort + adjacent dedup (much faster than np.unique's hash path)
     codes.sort()
-    deg = [0] * n
-    nbr = array("q", bytes(8 * len(codes)))
-    fill = 0
-    prev = -1
-    for c in codes:
-        if c == prev:
-            continue
-        prev = c
-        nbr[fill] = c % n
-        fill += 1
-        deg[c // n] += 1
-    dropped = len(codes) - fill
-    del nbr[fill:]
-    offsets = array("q", bytes(8 * (n + 1)))
-    total = 0
-    for i, d in enumerate(deg):
-        offsets[i] = total
-        total += d
-    offsets[n] = total
-    return offsets, nbr, dropped // 2
+    first = np.empty(len(codes), dtype=bool)
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    uniq = codes[first]
+    src = uniq // n
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return _q(offsets), _q(uniq - src * n), (len(codes) - len(uniq)) // 2
 
 
-def _csr_from_sorted_unique_np(uniq, n: int) -> Tuple[array, array]:
-    """Turn sorted unique directed codes (int64 ndarray) into CSR arrays."""
-    rows = uniq // n
-    counts = _np.bincount(rows, minlength=n)
-    off_np = _np.zeros(n + 1, dtype=_np.int64)
-    _np.cumsum(counts, out=off_np[1:])
-    nbr_np = uniq - rows * n
-    offsets = array("q")
-    offsets.frombytes(off_np.tobytes())
-    nbr = array("q")
-    nbr.frombytes(nbr_np.astype(_np.int64, copy=False).tobytes())
-    return offsets, nbr
+def _csr_from_rows(
+    n: int, edges, index: Optional[Dict[Vertex, int]] = None
+) -> Tuple[array, array, int]:
+    """CSR arrays from ``(u, v)`` rows, checked row by row.
 
-
-def _np_sort_unique(codes) -> Tuple["_np.ndarray", int]:
-    """Sort + adjacent-dedup (much faster than ``np.unique``'s hash path)."""
-    total = len(codes)
-    codes.sort()
-    mask = _np.empty(total, dtype=bool)
-    mask[0] = True
-    _np.not_equal(codes[1:], codes[:-1], out=mask[1:])
-    uniq = codes[mask]
-    return uniq, total - len(uniq)
-
-
-def _csr_from_codes(codes: List[int], n: int) -> Tuple[array, array, int]:
-    if _np is not None and codes:
-        arr = _np.array(codes, dtype=_np.int64)
-        uniq, dropped = _np_sort_unique(arr)
-        offsets, nbr = _csr_from_sorted_unique_np(uniq, n)
-        return offsets, nbr, dropped // 2
-    return _csr_from_codes_pure(codes, n)
-
-
-def _encode_pairs_pure(edges, n: int) -> List[int]:
-    """Validate and encode index pairs as directed codes (stdlib path)."""
-    codes: List[int] = []
-    append = codes.append
+    Every row must unpack to two ints; anything else raises
+    :class:`~repro.errors.InvalidParameterError` naming the row.  Without
+    ``index`` the endpoints are indices ``0..n-1``; with it they are ids,
+    mapped through ``index`` (unknown ids are reported as out of range).
+    """
+    if not isinstance(edges, (list, tuple)):
+        edges = list(edges)
     for e in edges:
-        u, v = e
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise InvalidParameterError(
+                f"edge {e!r} is not a (u, v) pair"
+            ) from None
         if not (isinstance(u, int) and isinstance(v, int)):
             raise InvalidParameterError(
                 f"edge ({u!r}, {v!r}) endpoints must be ints"
             )
-        if u == v:
-            raise InvalidParameterError(f"self-loop at vertex {u} not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise InvalidParameterError(
-                f"edge ({u}, {v}) references a vertex not in the vertex set"
-            )
-        append(u * n + v)
-        append(v * n + u)
-    return codes
-
-
-def _looks_like_int_pairs(edges) -> bool:
-    """Sniff the head of the edge list: 2-sequences of real ints?
-
-    A cheap early filter only — obviously non-conforming input skips the
-    vectorised attempt entirely.  Full integrity is enforced after
-    ingestion by an exact checksum comparison (see
-    :func:`_csr_from_index_pairs`), so malformed edges *past* the sampled
-    head are still routed to the strict pure path.
-    """
+    ends = chain.from_iterable(edges)
+    if index is not None:
+        get = index.get
+        ends = (get(x, -1) for x in ends)
     try:
-        for e in edges[:8]:
-            u, v = e
-            if not (isinstance(u, int) and isinstance(v, int)):
-                return False
-    except (TypeError, ValueError):
-        return False
-    return True
-
-
-def _csr_from_index_pairs(edges, n: int) -> Tuple[array, array, int]:
-    """CSR arrays from an iterable of ``(u, v)`` index pairs in ``0..n-1``.
-
-    The numpy path streams the whole edge list into a flat int64 array in C
-    and validates it vectorised; any structural surprise (ragged rows,
-    non-integer endpoints in the sampled head) falls back to the pure path,
-    which raises the precise error.
-    """
-    if not isinstance(edges, (list, tuple)):
-        edges = list(edges)
-    if not edges:
-        return array("q", bytes(8 * (n + 1))), array("q"), 0
-    if _np is not None and _looks_like_int_pairs(edges):
-        m = len(edges)
-        try:
-            flat = _np.fromiter(
-                chain.from_iterable(edges), _np.int64, count=2 * m
-            )
-            # np.fromiter silently truncates non-integral floats and stops
-            # at `count` on ragged rows; comparing the exact Python-side
-            # sum of every element against the ingested array catches both
-            # and falls back to the strict per-edge path.
-            if sum(chain.from_iterable(edges)) != int(flat.sum()):
-                flat = None
-        except (TypeError, ValueError, OverflowError):
-            flat = None
-        if flat is not None:
-            u = flat[0::2]
-            v = flat[1::2]
-            if (
-                int(flat.min()) < 0
-                or int(flat.max()) >= n
-                or bool((u == v).any())
-            ):
-                _encode_pairs_pure(edges, n)  # raises the precise error
-                raise InvalidParameterError("invalid edge list")  # unreachable
-            codes = _np.concatenate((u * n + v, v * n + u))
-            uniq, dropped = _np_sort_unique(codes)
-            offsets, nbr = _csr_from_sorted_unique_np(uniq, n)
-            return offsets, nbr, dropped // 2
-    return _csr_from_codes_pure(_encode_pairs_pure(edges, n), n)
+        flat = np.fromiter(ends, np.int64, count=2 * len(edges))
+    except OverflowError:  # an endpoint beyond int64 is out of range anyway
+        flat = np.fromiter(
+            (x if 0 <= x < n else -1 for x in chain.from_iterable(edges)),
+            np.int64,
+            count=2 * len(edges),
+        )
+    except ValueError:  # a one-shot row, drained by the check above
+        raise InvalidParameterError(
+            "edge rows must be sequences, not iterators"
+        ) from None
+    return _csr_from_endpoints(n, flat[0::2], flat[1::2], edges)
 
 
 class Graph:
@@ -234,30 +175,10 @@ class Graph:
         n = len(vset)
         verts = tuple(sorted(vset))
         contig = n == 0 or (verts[0] == 0 and verts[-1] == n - 1)
-        if contig:
-            offsets, nbr, dropped = _csr_from_index_pairs(edges, n)
-            index: Optional[Dict[Vertex, int]] = None
-        else:
-            index = {v: i for i, v in enumerate(verts)}
-            codes: List[int] = []
-            append = codes.append
-            get = index.get
-            for u, v in edges:
-                iu = get(u)
-                iv = get(v)
-                if iu is None or iv is None:
-                    raise InvalidParameterError(
-                        f"edge ({u}, {v}) references a vertex not in the "
-                        "vertex set"
-                    )
-                if iu == iv:
-                    raise InvalidParameterError(
-                        f"self-loop at vertex {u} not allowed"
-                    )
-                append(iu * n + iv)
-                append(iv * n + iu)
-            offsets, nbr, dropped = _csr_from_codes(codes, n)
+        index = None if contig else {v: i for i, v in enumerate(verts)}
+        offsets, nbr, dropped = _csr_from_rows(n, edges, index)
         self._init_csr(n, contig, verts if not contig else None, offsets, nbr, dropped)
+        self._index = index
 
     # ------------------------------------------------------------------
     def _init_csr(
@@ -290,16 +211,16 @@ class Graph:
     ) -> "Graph":
         """Bulk constructor: the graph on vertices ``0..n-1`` with ``edges``.
 
-        This is the fast path the generators use: the whole edge list is
-        turned into CSR arrays in one vectorised pass (two passes in the
-        pure-Python fallback) with no per-edge set mutation.  Duplicate
+        This is the fast path the generators use: after one per-row type
+        check, the whole edge list is turned into CSR arrays in one
+        vectorised pass with no per-edge set mutation.  Duplicate
         edges — in either orientation — are dropped and counted in
         :attr:`duplicate_edges_dropped`; self-loops and out-of-range
         endpoints raise :class:`~repro.errors.InvalidParameterError`.
         """
         if n < 0:
             raise InvalidParameterError(f"from_edge_count: n must be >= 0, got {n}")
-        offsets, nbr, dropped = _csr_from_index_pairs(edges, n)
+        offsets, nbr, dropped = _csr_from_rows(n, edges)
         g = cls.__new__(cls)
         g._init_csr(n, True, None, offsets, nbr, dropped)
         return g
@@ -314,42 +235,10 @@ class Graph:
         ever materialising Python edge objects.  Semantics match
         :meth:`from_edge_count`: duplicates (either orientation) are
         dropped and counted, self-loops and out-of-range endpoints raise.
-        Requires numpy (the pure-Python installs use ``from_edge_count``).
         """
-        if _np is None:
-            raise InvalidParameterError(
-                "Graph.from_arrays requires numpy; use from_edge_count"
-            )
         if n < 0:
             raise InvalidParameterError(f"from_arrays: n must be >= 0, got {n}")
-        u = _np.ascontiguousarray(u, dtype=_np.int64).ravel()
-        v = _np.ascontiguousarray(v, dtype=_np.int64).ravel()
-        if u.shape != v.shape:
-            raise InvalidParameterError(
-                f"from_arrays: endpoint arrays disagree ({len(u)} vs {len(v)})"
-            )
-        dropped = 0
-        if len(u):
-            lo = min(int(u.min()), int(v.min()))
-            hi = max(int(u.max()), int(v.max()))
-            if lo < 0 or hi >= n:
-                raise InvalidParameterError(
-                    f"from_arrays: endpoint {lo if lo < 0 else hi} outside "
-                    f"[0, {n})"
-                )
-            loops = u == v
-            if loops.any():
-                w = int(u[_np.flatnonzero(loops)[0]])
-                raise InvalidParameterError(
-                    f"self-loop at vertex {w} not allowed"
-                )
-            codes = _np.concatenate((u * n + v, v * n + u))
-            uniq, dups = _np_sort_unique(codes)
-            dropped = dups // 2
-            offsets, nbr = _csr_from_sorted_unique_np(uniq, n)
-        else:
-            offsets = array("q", bytes(8 * (n + 1)))
-            nbr = array("q")
+        offsets, nbr, dropped = _csr_from_endpoints(n, u, v)
         g = cls.__new__(cls)
         g._init_csr(n, True, None, offsets, nbr, dropped)
         return g
@@ -571,17 +460,8 @@ class Graph:
     _SHM_MAGIC = 0x43535247  # "CSRG"
     _SHM_HEADER_WORDS = 6
 
-    def to_shm(self, name: Optional[str] = None):
-        """Copy the CSR arrays into a new shared-memory segment.
-
-        Returns the created ``multiprocessing.shared_memory.SharedMemory``;
-        the caller owns its lifetime (``close()`` + ``unlink()`` when every
-        attached reader is done — typically via
-        :class:`repro.experiments.graphstore.GraphStore`).  Other processes
-        attach with :meth:`from_shm` under the segment's ``.name``.
-        """
-        from multiprocessing import shared_memory
-
+    def _payload(self) -> List[memoryview]:
+        """The segment layout as byte views (header, offsets, nbr, verts)."""
         verts = () if self._contig else self._verts
         header = array(
             "q",
@@ -594,17 +474,55 @@ class Graph:
                 len(verts),
             ],
         )
-        payload = (
-            header.tobytes()
-            + self._offsets.tobytes()
-            + self._nbr.tobytes()
-            + array("q", verts).tobytes()
-        )
+        return [
+            memoryview(a).cast("B")
+            for a in (header, self._offsets, self._nbr, array("q", verts))
+        ]
+
+    @classmethod
+    def _from_words(cls, words: memoryview, copy: bool) -> "Graph":
+        """A graph over the int64 ``words`` of a checked segment layout.
+
+        The CSR rows are views into ``words``, or process-local copies
+        with ``copy``.
+        """
+        _magic, n, contig, n_nbr, dropped, n_verts = words[
+            : cls._SHM_HEADER_WORDS
+        ]
+        base = cls._SHM_HEADER_WORDS
+        offsets = words[base : base + n + 1]
+        nbr = words[base + n + 1 : base + n + 1 + n_nbr]
+        verts = None
+        if not contig:
+            vbase = base + n + 1 + n_nbr
+            verts = tuple(words[vbase : vbase + n_verts])
+        if copy:
+            offsets = array("q", offsets)
+            nbr = array("q", nbr)
+        g = cls.__new__(cls)
+        g._init_csr(int(n), bool(contig), verts, offsets, nbr, int(dropped))
+        return g
+
+    def to_shm(self, name: Optional[str] = None):
+        """Copy the CSR arrays into a new shared-memory segment.
+
+        Returns the created ``multiprocessing.shared_memory.SharedMemory``;
+        the caller owns its lifetime (``close()`` + ``unlink()`` when every
+        attached reader is done — typically via
+        :class:`repro.experiments.graphstore.GraphStore`).  Other processes
+        attach with :meth:`from_shm` under the segment's ``.name``.
+        """
+        from multiprocessing import shared_memory
+
+        parts = self._payload()
         shm = shared_memory.SharedMemory(
-            create=True, size=len(payload), name=name
+            create=True, size=sum(len(p) for p in parts), name=name
         )
         try:
-            shm.buf[: len(payload)] = payload
+            pos = 0
+            for p in parts:
+                shm.buf[pos : pos + len(p)] = p
+                pos += len(p)
         except BaseException:
             shm.close()
             shm.unlink()
@@ -641,18 +559,7 @@ class Graph:
             raise InvalidParameterError(
                 f"shared-memory segment {name!r} is not a Graph segment"
             )
-        _magic, n, contig, n_nbr, dropped, n_verts = words[
-            : cls._SHM_HEADER_WORDS
-        ]
-        base = cls._SHM_HEADER_WORDS
-        offsets = words[base : base + n + 1]
-        nbr = words[base + n + 1 : base + n + 1 + n_nbr]
-        verts = None
-        if not contig:
-            vbase = base + n + 1 + n_nbr
-            verts = tuple(words[vbase : vbase + n_verts])
-        g = cls.__new__(cls)
-        g._init_csr(int(n), bool(contig), verts, offsets, nbr, int(dropped))
+        g = cls._from_words(words, copy=False)
         g._shm = shm  # keeps the attachment alive as long as the graph
         return g
 
@@ -675,23 +582,8 @@ class Graph:
         multi-million-node graphs open without copying the adjacency into
         process memory.
         """
-        verts = () if self._contig else self._verts
-        header = array(
-            "q",
-            [
-                self._SHM_MAGIC,
-                self._n,
-                1 if self._contig else 0,
-                len(self._nbr),
-                self.duplicate_edges_dropped,
-                len(verts),
-            ],
-        )
         with open(path, "wb") as fh:
-            fh.write(header.tobytes())
-            fh.write(self._offsets.tobytes())
-            fh.write(self._nbr.tobytes())
-            fh.write(array("q", verts).tobytes())
+            fh.writelines(self._payload())
 
     @classmethod
     def from_csr_file(cls, path, mmap: bool = True) -> "Graph":
@@ -739,21 +631,7 @@ class Graph:
                 mm.close()
             fh.close()
             raise InvalidParameterError(f"{path!r} is not a Graph CSR file")
-        _magic, n, contig, n_nbr, dropped, n_verts = words[
-            : cls._SHM_HEADER_WORDS
-        ]
-        base = cls._SHM_HEADER_WORDS
-        offsets = words[base : base + n + 1]
-        nbr = words[base + n + 1 : base + n + 1 + n_nbr]
-        verts = None
-        if not contig:
-            vbase = base + n + 1 + n_nbr
-            verts = tuple(words[vbase : vbase + n_verts])
-        if mm is None:  # copy mode: own the arrays, release the buffer
-            offsets = array("q", offsets)
-            nbr = array("q", nbr)
-        g = cls.__new__(cls)
-        g._init_csr(int(n), bool(contig), verts, offsets, nbr, int(dropped))
+        g = cls._from_words(words, copy=mm is None)
         if mm is not None:
             g._mmap = (mm, fh)  # rows are views into mm: keep both alive
         else:
@@ -771,9 +649,8 @@ class Graph:
     def induced_subgraph(self, vertices: Iterable[Vertex]) -> "Graph":
         """The subgraph induced by ``vertices`` (original ids are kept).
 
-        With numpy available this is one vectorized pass over the batched
-        CSR neighbour array (mask, filter, remap); the fallback filters the
-        edge list in Python.  Both produce identical graphs.
+        One vectorized pass over the batched CSR neighbour array: mask,
+        filter, remap.
         """
         keep = set(vertices)
         missing = [v for v in keep if not self.has_vertex(v)]
@@ -781,42 +658,34 @@ class Graph:
             raise InvalidParameterError(
                 f"induced_subgraph: vertices {sorted(missing)[:5]} not in graph"
             )
-        if _np is not None and keep:
-            n = self._n
-            slot = self._slot
-            keep_idx = _np.fromiter(
-                (slot(v) for v in keep), _np.int64, count=len(keep)
-            )
-            keep_idx.sort()
-            k = len(keep_idx)
-            mask = _np.zeros(n, dtype=bool)
-            mask[keep_idx] = True
-            off = _np.frombuffer(self._offsets, dtype=_np.int64)
-            nbr = _np.frombuffer(self._nbr, dtype=_np.int64)
-            src = _np.repeat(_np.arange(n, dtype=_np.int64), _np.diff(off))
-            sel = mask[src] & mask[nbr]
-            remap = _np.full(n, -1, dtype=_np.int64)
-            remap[keep_idx] = _np.arange(k, dtype=_np.int64)
-            rows = remap[src[sel]]
-            cols = remap[nbr[sel]]
-            counts = _np.bincount(rows, minlength=k)
-            off_np = _np.zeros(k + 1, dtype=_np.int64)
-            _np.cumsum(counts, out=off_np[1:])
-            offsets = array("q")
-            offsets.frombytes(off_np.tobytes())
-            sub_nbr = array("q")
-            sub_nbr.frombytes(cols.tobytes())
-            if self._contig:
-                sub_ids = tuple(int(i) for i in keep_idx)
-            else:
-                verts = self.vertices
-                sub_ids = tuple(verts[i] for i in keep_idx)
-            contig = sub_ids[0] == 0 and sub_ids[-1] == k - 1
-            g = Graph.__new__(Graph)
-            g._init_csr(k, contig, None if contig else sub_ids, offsets, sub_nbr, 0)
-            return g
-        edges = [(u, v) for (u, v) in self.edges if u in keep and v in keep]
-        return Graph(keep, edges)
+        n = self._n
+        slot = self._slot
+        keep_idx = np.fromiter((slot(v) for v in keep), np.int64, count=len(keep))
+        keep_idx.sort()
+        k = len(keep_idx)
+        mask = np.zeros(n, dtype=bool)
+        mask[keep_idx] = True
+        off = np.frombuffer(self._offsets, dtype=np.int64)
+        nbr = np.frombuffer(self._nbr, dtype=np.int64)
+        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
+        sel = mask[src] & mask[nbr]
+        remap = np.full(n, -1, dtype=np.int64)
+        remap[keep_idx] = np.arange(k, dtype=np.int64)
+        rows = remap[src[sel]]
+        cols = remap[nbr[sel]]
+        offsets = np.zeros(k + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=k), out=offsets[1:])
+        if self._contig:
+            sub_ids = tuple(keep_idx.tolist())
+        else:
+            verts = self.vertices
+            sub_ids = tuple(verts[i] for i in keep_idx)
+        contig = k == 0 or (sub_ids[0] == 0 and sub_ids[-1] == k - 1)
+        g = Graph.__new__(Graph)
+        g._init_csr(
+            k, contig, None if contig else sub_ids, _q(offsets), _q(cols), 0
+        )
+        return g
 
     def subgraph_of_edges(self, edges: Iterable[Tuple[Vertex, Vertex]]) -> "Graph":
         """The subgraph with the same vertex set but only the given edges."""

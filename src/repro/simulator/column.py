@@ -25,6 +25,9 @@ zero-argument callable that executes the entire run.  The callable must
 * raise the same exceptions (:class:`~repro.errors.RoundLimitExceeded`,
   :class:`~repro.errors.SimulationError`) in the same situations.
 
+Kernels import numpy at module level, as this engine does; the
+:class:`ColumnRun` carries only the run's data.
+
 Byte accounting uses the same :func:`~repro.simulator.message.payload_size`
 estimator (see :meth:`ColumnRun.int_payload_sizes` for the vectorized int
 path), so ``RunResult``\\ s are byte-identical to the dense reference; the
@@ -34,7 +37,7 @@ Fallback semantics
 ------------------
 
 The kernel path is only taken when the whole run is expressible in column
-form: numpy present, contiguous vertex ids, full participation, no
+form: contiguous vertex ids, full participation, no
 ``part_of`` labeling, no per-message observers (``trace`` or a telemetry
 sink with ``wants_messages``), and the program returns a kernel.  In every
 other case the run is delegated, whole, to the event engine — same results,
@@ -54,10 +57,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Optional
 
-try:  # the engine registers itself regardless; kernels need numpy
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as np
 
 from .engines import Engine, EngineRun, get_engine, register_engine
 
@@ -73,7 +73,6 @@ class ColumnRun:
 
     __slots__ = (
         "graph",
-        "np",
         "n",
         "globals",
         "round_limit",
@@ -92,14 +91,13 @@ class ColumnRun:
 
     def __init__(self, run: EngineRun):
         self.graph = run.graph
-        self.np = _np
         self.n = run.S
         self.globals = run.gp
         self.round_limit = run.round_limit
         self.count_bytes = run.count_bytes
         off_mv, nbr_mv = run.graph.csr()
-        self.offsets = _np.frombuffer(off_mv, dtype=_np.int64)
-        self.neighbors = _np.frombuffer(nbr_mv, dtype=_np.int64)
+        self.offsets = np.frombuffer(off_mv, dtype=np.int64)
+        self.neighbors = np.frombuffer(nbr_mv, dtype=np.int64)
         self._degrees = None
         self._telemetry = run.telemetry
         self._last_round = -1
@@ -111,48 +109,48 @@ class ColumnRun:
 
     # -- graph helpers -------------------------------------------------
     @property
-    def degrees(self) -> "_np.ndarray":
+    def degrees(self) -> "np.ndarray":
         """Per-node degree column (int64, cached)."""
         if self._degrees is None:
-            self._degrees = _np.diff(self.offsets)
+            self._degrees = np.diff(self.offsets)
         return self._degrees
 
-    def row_sources(self) -> "_np.ndarray":
+    def row_sources(self) -> "np.ndarray":
         """CSR expansion: ``src[k]`` is the row owning ``neighbors[k]``."""
-        return _np.repeat(
-            _np.arange(self.n, dtype=_np.int64), self.degrees
+        return np.repeat(
+            np.arange(self.n, dtype=np.int64), self.degrees
         )
 
-    def neighbor_slices(self, mask: "_np.ndarray") -> "_np.ndarray":
+    def neighbor_slices(self, mask: "np.ndarray") -> "np.ndarray":
         """All neighbour entries of the masked rows, concatenated.
 
         Equivalent to ``np.concatenate([row(i) for i in mask])`` without
         the per-row Python loop: build one boolean selector over the flat
         neighbour array from the masked rows' CSR extents.
         """
-        idx = _np.flatnonzero(mask)
+        idx = np.flatnonzero(mask)
         if not len(idx):
-            return _np.empty(0, dtype=_np.int64)
+            return np.empty(0, dtype=np.int64)
         starts = self.offsets[idx]
         lens = self.offsets[idx + 1] - starts
         total = int(lens.sum())
         if total == 0:
-            return _np.empty(0, dtype=_np.int64)
+            return np.empty(0, dtype=np.int64)
         # ranges [starts_i, starts_i + lens_i) concatenated: one arange,
         # rebased per group (exclusive cumsum gives each group's origin)
-        pos = _np.arange(total, dtype=_np.int64)
-        pos -= _np.repeat(_np.cumsum(lens) - lens, lens)
-        return self.neighbors[_np.repeat(starts, lens) + pos]
+        pos = np.arange(total, dtype=np.int64)
+        pos -= np.repeat(np.cumsum(lens) - lens, lens)
+        return self.neighbors[np.repeat(starts, lens) + pos]
 
     # -- byte accounting helpers --------------------------------------
     @staticmethod
-    def int_payload_sizes(vals: "_np.ndarray") -> "_np.ndarray":
+    def int_payload_sizes(vals: "np.ndarray") -> "np.ndarray":
         """Vectorized :func:`payload_size` for non-negative int payloads.
 
         Matches ``max(1, (bit_length + 7) // 8)`` exactly: one byte per
         started octet, minimum one.
         """
-        sizes = _np.ones(len(vals), dtype=_np.int64)
+        sizes = np.ones(len(vals), dtype=np.int64)
         v = vals >> 8
         while v.any():
             sizes += v > 0
@@ -205,8 +203,7 @@ class ColumnEngine(Engine):
         col: Optional[ColumnRun] = None
         tel = run.telemetry
         vectorizable = (
-            _np is not None
-            and run.rank is None  # contiguous ids + full participation
+            run.rank is None  # contiguous ids + full participation
             and run.part_of is None
             and run.trace is None
             and not (tel is not None and tel.wants_messages)

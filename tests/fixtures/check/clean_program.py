@@ -8,6 +8,8 @@ ships a pure column kernel, and builds specs from JSON-stable params.
 
 import random
 
+import numpy as np
+
 from repro.experiments.spec import ScenarioSpec, TrialSpec
 from repro.simulator.context import NodeContext
 from repro.simulator.program import NodeProgram
@@ -36,8 +38,6 @@ class CleanProgram(NodeProgram):
         ctx.idle_until_message()
 
     def column_kernel(self, col):
-        np = col.np
-
         def run() -> None:
             local = col.degrees.copy()
             local += 1

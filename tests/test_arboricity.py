@@ -82,6 +82,24 @@ class TestNashWilliams:
         g = forest_union(120, 4, seed=6)
         assert nash_williams_lower_bound(g.graph) <= 4
 
+    def test_noncontiguous_ids_match_suffix_reference(self):
+        # the per-edge definition over id-based suffixes of the
+        # degeneracy order, on a graph whose ids are not 0..n-1
+        base = planar_triangulation(80, seed=9).graph
+        g = base.induced_subgraph(v for v in base.vertices if v % 5)
+        assert not g.ids_contiguous
+        _k, order = degeneracy(g)
+        pos = {v: i for i, v in enumerate(order)}
+        suffix_m = [0] * g.n
+        for u, v in g.edges:
+            suffix_m[min(pos[u], pos[v])] += 1
+        best, total = -(-g.m // (g.n - 1)), 0
+        for i in range(g.n - 1, -1, -1):
+            total += suffix_m[i]
+            if g.n - i >= 2:
+                best = max(best, -(-total // (g.n - i - 1)))
+        assert nash_williams_lower_bound(g) == best >= 2
+
 
 class TestPseudoarboricity:
     def test_forest(self):

@@ -2,13 +2,12 @@
 
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.errors import InvalidParameterError
 from repro.graphs import Graph, forest_union_bulk
 from repro.graphs.arboricity import nash_williams_lower_bound
-
-np = pytest.importorskip("numpy")
 
 
 class TestFromArrays:

@@ -4,12 +4,26 @@ import pytest
 
 from repro import SynchronousNetwork
 from repro.core import (
+    arb_kuhn_decomposition,
+    arbdefective_coloring,
     delta_plus_one_coloring,
+    estimate_arboricity_bound,
+    forests_decomposition,
     greedy_reduction,
     kuhn_wattenhofer_reduction,
+    legal_coloring_auto,
+    legal_coloring_theorem43,
+    mis_arboricity,
+    orientation_greedy_coloring,
 )
 from repro.errors import InvalidParameterError, SimulationError
-from repro.graphs import grid, random_regular, random_tree
+from repro.graphs import (
+    degeneracy_orientation,
+    forest_union,
+    grid,
+    random_regular,
+    random_tree,
+)
 from repro.verify import check_legal_coloring
 
 
@@ -165,5 +179,40 @@ class TestOneShotParticipants:
             for shape in self._shapes(g.graph.vertices)
         ]
         assert len(results[0].colors) == 150
+        assert results[1] == results[0]
+        assert results[2] == results[0]
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda net, p: arb_kuhn_decomposition(net, 3, 1, participants=p),
+            lambda net, p: arbdefective_coloring(net, 3, 2, 2, participants=p),
+            lambda net, p: forests_decomposition(net, 3, participants=p),
+            lambda net, p: mis_arboricity(net, 3, participants=p),
+            lambda net, p: estimate_arboricity_bound(net, participants=p),
+            lambda net, p: legal_coloring_auto(net, participants=p),
+            lambda net, p: legal_coloring_theorem43(net, 12, 0.5, participants=p),
+            lambda net, p: orientation_greedy_coloring(
+                net, degeneracy_orientation(net.graph), 6, participants=p
+            ),
+        ],
+        ids=[
+            "arb_kuhn",
+            "arbdefective",
+            "forests",
+            "mis_arboricity",
+            "estimate_bound",
+            "coloring_auto",
+            "thm43",
+            "orientation_greedy",
+        ],
+    )
+    def test_public_entries(self, entry):
+        g = forest_union(150, 3, seed=2).graph
+        chosen = list(g.vertices[:120])
+        results = [
+            entry(SynchronousNetwork(g), shape)
+            for shape in (chosen, dict.fromkeys(chosen).keys(), iter(chosen))
+        ]
         assert results[1] == results[0]
         assert results[2] == results[0]

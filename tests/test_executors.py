@@ -7,16 +7,15 @@ to the executor seam — the length-prefixed JSON wire codec, backend
 construction, worker attachment, disconnect-requeue with bounded retries,
 retry exhaustion, the no-worker timeout, and remote payload exceptions.
 
-The fault tests drive real ``repro worker`` subprocesses (SIGKILL included)
-and hand-rolled protocol peers where determinism demands a worker that
-misbehaves on cue.
+The fault tests drive real ``repro worker`` subprocesses alongside
+hand-rolled protocol peers where determinism demands a worker that
+misbehaves (dies holding a payload) on cue.
 """
 
 import os
 import pickle
 import socket as socketlib
 import threading
-import time
 
 import pytest
 
@@ -225,34 +224,43 @@ class TestSocketExecutor:
         assert rec["provenance"]["worker"] == "w1"
 
     def test_kill_worker_mid_sweep_requeues_and_matches_serial(self):
-        """ISSUE acceptance: a worker SIGKILLed mid-sweep costs retries
+        """ISSUE acceptance: a worker that dies mid-sweep costs retries
         but never a lost or duplicated record — the in-flight payloads
         are requeued onto the surviving fleet and the final records are
         byte-identical to a serial run."""
-        # slow-ish trials so the victim is guaranteed to hold in-flight
-        # payloads when the kill lands
-        spec = _sharing_spec(n=220, seeds=(0, 1, 2))
+        spec = _sharing_spec(n=60, seeds=(0, 1, 2))
         serial = run_sweep(spec)
 
-        ex, procs = _attached_executor(1)
+        ex = SocketExecutor(min_workers=1)
         replacement = []
-        fired = threading.Event()
+        took_task = threading.Event()
 
-        def progress(_msg):
-            # runs on run_sweep's thread, once the first record landed:
-            # the lone worker has more payloads in flight (window 2) —
-            # spawn its replacement, then SIGKILL it
-            if not fired.is_set():
-                fired.set()
+        def victim():
+            # the lone worker at sweep start: it takes a task, brings up
+            # its real replacement, then hangs up without answering — the
+            # payload is in flight when it dies, whatever the trial speed
+            sock = socketlib.create_connection((ex.host, ex.port), timeout=10)
+            try:
+                send_msg(sock, {"type": "hello", "pid": os.getpid(),
+                                "host": "test"})
+                recv_msg(sock)  # welcome
+                recv_msg(sock)  # the first task
+                took_task.set()
                 replacement.extend(spawn_local_workers(ex.host, ex.port, 1))
-                procs[0].kill()
+            finally:
+                sock.close()
 
+        t = threading.Thread(target=victim, daemon=True)
+        t.start()
         try:
-            remote = run_sweep(spec, executor=ex, progress=progress)
+            ex.wait_for_workers(1, timeout=30)
+            remote = run_sweep(spec, executor=ex)
         finally:
-            _teardown(ex, procs + replacement)
+            t.join(timeout=30)
+            _teardown(ex, replacement)
 
-        assert fired.is_set()
+        assert not t.is_alive()
+        assert took_task.is_set()
         assert ex.disconnects >= 1
         assert ex.requeued >= 1  # in-flight payloads were re-dispatched
         assert _fingerprint(remote) == _fingerprint(serial)

@@ -2,8 +2,8 @@
 
 The CSR rewrite must be invisible through the public id-based API: these
 tests pin it against an in-test reference implementation of the legacy
-dict-of-sets build, against networkx round-trips, and across the numpy /
-pure-Python construction paths.
+dict-of-sets build, against networkx round-trips, and against malformed
+edge rows anywhere in the input.
 """
 
 import pickle
@@ -26,7 +26,6 @@ from repro.graphs import (
     ring,
     star,
 )
-from repro.graphs import graph as graph_mod
 from repro.types import canonical_edge
 
 
@@ -113,23 +112,13 @@ class TestAgainstReference:
         assert_matches_reference(g, g.vertices, g.edges)
 
 
-class TestBuildPaths:
-    @settings(max_examples=60, deadline=None)
-    @given(edge_lists())
-    def test_pure_equals_numpy(self, case):
-        n, edges = case
-        fast = Graph.from_edge_count(n, edges)
-        saved = graph_mod._np
-        try:
-            graph_mod._np = None
-            pure = Graph.from_edge_count(n, edges)
-        finally:
-            graph_mod._np = saved
-        assert fast == pure
-        assert fast.duplicate_edges_dropped == pure.duplicate_edges_dropped
-        assert list(fast._offsets) == list(pure._offsets)
-        assert list(fast._nbr) == list(pure._nbr)
+#: malformed rows: too long, too short, a float endpoint
+MALFORMED_ROWS = [[(2, 3, 4), (5,)], [(2, 3, 0)], [(2.0, 3)]]
+#: well-formed rows that push a bad row past any sampled head
+GOOD_ROWS = [(0, 1)] * 8
 
+
+class TestBuildPaths:
     def test_from_edge_count_matches_init(self):
         edges = [(0, 1), (3, 2), (1, 3), (0, 1), (1, 0)]
         assert Graph.from_edge_count(4, edges) == Graph(range(4), edges)
@@ -147,6 +136,33 @@ class TestBuildPaths:
     def test_float_endpoints_rejected(self):
         with pytest.raises(InvalidParameterError):
             Graph.from_edge_count(4, [(0.5, 1)])
+
+    @pytest.mark.parametrize("bad", MALFORMED_ROWS)
+    @pytest.mark.parametrize("at_head", [True, False])
+    def test_malformed_rows_rejected_anywhere(self, bad, at_head):
+        # every row is checked, not a sample of the head: the same bad
+        # row must be rejected first in the list and after 8 good rows
+        edges = bad if at_head else [*GOOD_ROWS, *bad]
+        with pytest.raises(InvalidParameterError):
+            Graph.from_edge_count(6, edges)
+        with pytest.raises(InvalidParameterError):
+            Graph(range(6), edges)
+        with pytest.raises(InvalidParameterError):
+            Graph([*range(6), 100], edges)  # non-contiguous ids
+
+    def test_errors_name_the_offending_edge(self):
+        with pytest.raises(InvalidParameterError, match=r"\(2, 3, 4\)"):
+            Graph.from_edge_count(6, [*GOOD_ROWS, (2, 3, 4)])
+        with pytest.raises(InvalidParameterError, match=r"\(2, 9\)"):
+            Graph.from_edge_count(6, [*GOOD_ROWS, (2, 9)])
+        with pytest.raises(InvalidParameterError, match="vertex 4"):
+            Graph.from_edge_count(6, [*GOOD_ROWS, (4, 4)])
+        with pytest.raises(InvalidParameterError, match=r"\(12, 99\)"):
+            Graph([10, 12, 14], [(10, 12), (12, 99)])
+        with pytest.raises(InvalidParameterError, match=str(2**65)):
+            Graph.from_edge_count(6, [*GOOD_ROWS, (0, 2**65)])
+        with pytest.raises(InvalidParameterError, match="iterators"):
+            Graph.from_edge_count(6, [*GOOD_ROWS, iter((2, 3))])
 
 
 class TestDuplicateAccounting:
@@ -215,16 +231,6 @@ class TestInducedSubgraph:
             assert sub.neighbors(v) == tuple(
                 u for u in g.neighbors(v) if u in keep
             )
-
-    def test_matches_pure_fallback(self, monkeypatch):
-        g = forest_union(50, 3, seed=11).graph
-        keep = [v for v in g.vertices if v % 3 != 0]
-        fast = g.induced_subgraph(keep)
-        monkeypatch.setattr(graph_mod, "_np", None)
-        slow = g.induced_subgraph(keep)
-        assert fast == slow
-        assert fast.vertices == slow.vertices
-        assert all(fast.neighbors(v) == slow.neighbors(v) for v in keep)
 
     def test_empty_selection(self):
         g = ring(5).graph
